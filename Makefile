@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-report vet lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test perfbench-test bench bench-report vet lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -14,6 +14,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module (perfbench/go.mod), so the root
+# `go test ./...` does not reach it. Its tests hold traced and untraced
+# dyn-chunks runs to perfbench/golden_dyn.json and pin the workload
+# generators and the manifest.
+perfbench-test:
+	$(GO) -C perfbench test ./...
 
 vet:
 	$(GO) vet ./...
@@ -89,7 +96,7 @@ calibrate:
 	rm -rf $$tmp && echo "calibrate: record -> fit -> converge ok"
 
 # Everything a change must pass before merging.
-check: build vet lint test race service-load chaos fuzz platforms calibrate bench-report
+check: build vet lint test perfbench-test race service-load chaos fuzz platforms calibrate bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

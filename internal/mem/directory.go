@@ -159,15 +159,10 @@ func (d *Directory) sourceFor(b *Buffer, iv Interval, order []Space) (Space, Int
 	if st == nil {
 		return 0, Interval{}, unregistered(b)
 	}
-	for _, s := range order {
-		v := &st.valid[s]
-		if !v.ContainsPoint(iv.Lo) {
-			continue
-		}
-		have := v.IntersectInterval(iv)
-		for _, h := range have.Intervals() {
-			if h.Lo == iv.Lo {
-				return s, h, nil
+	if !iv.Empty() {
+		for _, s := range order {
+			if c, ok := st.valid[s].covering(iv.Lo); ok {
+				return s, Interval{Lo: iv.Lo, Hi: min64(c.Hi, iv.Hi)}, nil
 			}
 		}
 	}

@@ -63,6 +63,11 @@ func min64(a, b int64) int64 {
 
 // Set is a canonical set of elements: sorted, pairwise-disjoint,
 // non-adjacent intervals. The zero value is the empty set.
+//
+// Add, Remove and Clear update the set in place, reusing its backing
+// array. A Set is a small header over that array, so a value copy
+// shares storage with the original: Clone a set before mutating a copy
+// whose original must stay intact.
 type Set struct {
 	ivs []Interval
 }
@@ -102,48 +107,63 @@ func (s Set) Clone() Set {
 // Clear removes all elements.
 func (s *Set) Clear() { s.ivs = s.ivs[:0] }
 
+// from returns the index of the first interval ending after x: the
+// first one that can hold x or anything beyond it.
+func (s Set) from(x int64) int {
+	return sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > x })
+}
+
+// splice replaces s.ivs[i:j] with repl in place.
+func (s *Set) splice(i, j int, repl ...Interval) {
+	if d := len(repl) - (j - i); d > 0 {
+		s.ivs = append(s.ivs, make([]Interval, d)...)
+		copy(s.ivs[j+d:], s.ivs[j:])
+	} else if d < 0 {
+		n := copy(s.ivs[i+len(repl):], s.ivs[j:])
+		s.ivs = s.ivs[:i+len(repl)+n]
+	}
+	copy(s.ivs[i:], repl)
+}
+
 // Add unions iv into the set, merging overlapping and adjacent
 // intervals.
 func (s *Set) Add(iv Interval) {
 	if iv.Empty() {
 		return
 	}
-	// Find insertion window: all intervals that overlap or are adjacent.
+	// The window [i,j) holds every interval that overlaps or touches iv.
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi >= iv.Lo })
-	j := i
-	for j < len(s.ivs) && s.ivs[j].Lo <= iv.Hi {
-		j++
-	}
+	j := i + sort.Search(len(s.ivs)-i, func(k int) bool { return s.ivs[i+k].Lo > iv.Hi })
 	if i < j {
 		iv.Lo = min64(iv.Lo, s.ivs[i].Lo)
 		iv.Hi = max64(iv.Hi, s.ivs[j-1].Hi)
 	}
-	out := make([]Interval, 0, len(s.ivs)-(j-i)+1)
-	out = append(out, s.ivs[:i]...)
-	out = append(out, iv)
-	out = append(out, s.ivs[j:]...)
-	s.ivs = out
+	s.splice(i, j, iv)
 }
 
 // Remove subtracts iv from the set.
 func (s *Set) Remove(iv Interval) {
-	if iv.Empty() || len(s.ivs) == 0 {
+	if iv.Empty() {
 		return
 	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	for _, cur := range s.ivs {
-		if !cur.Overlaps(iv) {
-			out = append(out, cur)
-			continue
-		}
-		if cur.Lo < iv.Lo {
-			out = append(out, Interval{Lo: cur.Lo, Hi: iv.Lo})
-		}
-		if cur.Hi > iv.Hi {
-			out = append(out, Interval{Lo: iv.Hi, Hi: cur.Hi})
-		}
+	// The window [i,j) holds every interval that overlaps iv; only its
+	// ends can keep a piece.
+	i := s.from(iv.Lo)
+	j := i + sort.Search(len(s.ivs)-i, func(k int) bool { return s.ivs[i+k].Lo >= iv.Hi })
+	if i == j {
+		return
 	}
-	s.ivs = out
+	var keep [2]Interval
+	n := 0
+	if first := s.ivs[i]; first.Lo < iv.Lo {
+		keep[n] = Interval{Lo: first.Lo, Hi: iv.Lo}
+		n++
+	}
+	if last := s.ivs[j-1]; last.Hi > iv.Hi {
+		keep[n] = Interval{Lo: iv.Hi, Hi: last.Hi}
+		n++
+	}
+	s.splice(i, j, keep[:n]...)
 }
 
 // Contains reports whether every element of iv is in the set.
@@ -151,13 +171,22 @@ func (s Set) Contains(iv Interval) bool {
 	if iv.Empty() {
 		return true
 	}
-	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].Hi > iv.Lo })
-	return i < len(s.ivs) && s.ivs[i].Lo <= iv.Lo && s.ivs[i].Hi >= iv.Hi
+	c, ok := s.covering(iv.Lo)
+	return ok && c.Hi >= iv.Hi
 }
 
 // ContainsPoint reports whether element p is in the set.
 func (s Set) ContainsPoint(p int64) bool {
 	return s.Contains(Interval{Lo: p, Hi: p + 1})
+}
+
+// Overlaps reports whether any element of iv is in the set.
+func (s Set) Overlaps(iv Interval) bool {
+	if iv.Empty() {
+		return false
+	}
+	i := s.from(iv.Lo)
+	return i < len(s.ivs) && s.ivs[i].Lo < iv.Hi
 }
 
 // IntersectInterval returns the elements of iv present in the set.
@@ -166,16 +195,22 @@ func (s Set) IntersectInterval(iv Interval) Set {
 	if iv.Empty() {
 		return out
 	}
-	for _, cur := range s.ivs {
+	for _, cur := range s.ivs[s.from(iv.Lo):] {
 		if cur.Lo >= iv.Hi {
 			break
 		}
-		x := cur.Intersect(iv)
-		if !x.Empty() {
-			out.ivs = append(out.ivs, x)
-		}
+		out.ivs = append(out.ivs, cur.Intersect(iv))
 	}
 	return out
+}
+
+// covering returns the interval of the set holding element p.
+func (s Set) covering(p int64) (Interval, bool) {
+	i := s.from(p)
+	if i < len(s.ivs) && s.ivs[i].Lo <= p {
+		return s.ivs[i], true
+	}
+	return Interval{}, false
 }
 
 // Missing returns the sub-intervals of iv NOT present in the set, in
@@ -186,10 +221,7 @@ func (s Set) Missing(iv Interval) []Interval {
 		return out
 	}
 	lo := iv.Lo
-	for _, cur := range s.ivs {
-		if cur.Hi <= lo {
-			continue
-		}
+	for _, cur := range s.ivs[s.from(lo):] {
 		if cur.Lo >= iv.Hi {
 			break
 		}

@@ -252,3 +252,105 @@ func TestQuickMissingPartitions(t *testing.T) {
 		}
 	}
 }
+
+// canonical reports whether a set is in normal form: sorted, disjoint,
+// non-adjacent, non-empty intervals.
+func canonical(s Set) bool {
+	for i, cur := range s.ivs {
+		if cur.Empty() || (i > 0 && cur.Lo <= s.ivs[i-1].Hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: every Set operation agrees with a bitmap model step by
+// step, and the in-place updates leave the set canonical after every
+// step. A Clone taken midway is unaffected by later updates.
+func TestSetStepwiseMatchesBitmap(t *testing.T) {
+	const universe = 96
+	rng := rand.New(rand.NewSource(31))
+	randIv := func() Interval {
+		// Inside the universe; some empty or reversed.
+		lo := rng.Int63n(universe)
+		return Interval{Lo: lo, Hi: min64(lo+rng.Int63n(24)-2, universe)}
+	}
+	in := func(bits *[universe]bool, p int64) bool { return p >= 0 && p < universe && bits[p] }
+	for trial := 0; trial < 300; trial++ {
+		var s Set
+		var bits [universe]bool
+		var snap Set
+		var snapBits [universe]bool
+		for step := 0; step < 60; step++ {
+			q := randIv()
+			switch rng.Intn(5) {
+			case 0, 1:
+				s.Add(q)
+				for p := max64(q.Lo, 0); p < min64(q.Hi, universe); p++ {
+					bits[p] = true
+				}
+			case 2:
+				s.Remove(q)
+				for p := max64(q.Lo, 0); p < min64(q.Hi, universe); p++ {
+					bits[p] = false
+				}
+			case 3:
+				// Missing and IntersectInterval partition q.
+				var seen [universe + 32]int
+				for _, m := range s.Missing(q) {
+					for p := m.Lo; p < m.Hi; p++ {
+						if in(&bits, p) || p < q.Lo || p >= q.Hi {
+							t.Fatalf("trial %d step %d: Missing(%v) of %v yields %d", trial, step, q, s, p)
+						}
+						seen[p+16]++
+					}
+				}
+				x := s.IntersectInterval(q)
+				if !canonical(x) {
+					t.Fatalf("IntersectInterval(%v) of %v not canonical: %v", q, s, x)
+				}
+				for _, h := range x.ivs {
+					for p := h.Lo; p < h.Hi; p++ {
+						if !in(&bits, p) || p < q.Lo || p >= q.Hi {
+							t.Fatalf("trial %d step %d: IntersectInterval(%v) of %v yields %d", trial, step, q, s, p)
+						}
+						seen[p+16]++
+					}
+				}
+				for p := q.Lo; p < q.Hi; p++ {
+					if seen[p+16] != 1 {
+						t.Fatalf("trial %d step %d: element %d of %v covered %d times", trial, step, p, q, seen[p+16])
+					}
+				}
+			case 4:
+				all, some := true, false
+				for p := q.Lo; p < q.Hi; p++ {
+					all = all && in(&bits, p)
+					some = some || in(&bits, p)
+				}
+				if got := s.Contains(q); got != all {
+					t.Fatalf("trial %d step %d: %v.Contains(%v) = %v", trial, step, s, q, got)
+				}
+				if got := s.Overlaps(q); got != some {
+					t.Fatalf("trial %d step %d: %v.Overlaps(%v) = %v", trial, step, s, q, got)
+				}
+			}
+			if !canonical(s) {
+				t.Fatalf("trial %d step %d: not canonical: %v", trial, step, s)
+			}
+			for p := int64(-4); p < universe+4; p++ {
+				if s.ContainsPoint(p) != in(&bits, p) {
+					t.Fatalf("trial %d step %d: %v membership of %d wrong", trial, step, s, p)
+				}
+			}
+			if step == 30 {
+				snap, snapBits = s.Clone(), bits
+			}
+		}
+		for p := int64(0); p < universe; p++ {
+			if snap.ContainsPoint(p) != snapBits[p] {
+				t.Fatalf("trial %d: clone changed under later updates at %d", trial, p)
+			}
+		}
+	}
+}

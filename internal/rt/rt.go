@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"heteropart/internal/apierr"
@@ -623,9 +624,17 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 	}
 	for _, tr := range transfers {
 		key := xferKey{tr.Buf.ID, tr.To}
+		flying := e.inflight[key]
+		if len(flying) == 0 {
+			if !tr.Interval.Empty() {
+				left++
+				e.runTransfer(tr, fire)
+			}
+			continue
+		}
 		remaining := mem.NewSet(tr.Interval)
-		for _, fl := range e.inflight[key] {
-			if remaining.IntersectInterval(fl.iv).Empty() {
+		for _, fl := range flying {
+			if !remaining.Overlaps(fl.iv) {
 				continue
 			}
 			left++
@@ -638,6 +647,27 @@ func (e *engine) ensure(transfers []mem.Transfer, done func()) {
 		}
 	}
 	fire()
+}
+
+// landed drops a completed transfer from its destination's in-flight
+// list.
+func (e *engine) landed(key xferKey, fl *inflightXfer) {
+	list := e.inflight[key]
+	if i := slices.Index(list, fl); i >= 0 {
+		e.inflight[key] = without(list, i)
+	}
+}
+
+// without removes element i of a queue in place. Queues mostly lose
+// their oldest entry (links and breadth-first picks are FIFO), so the
+// head is resliced off instead of shifting the rest.
+func without[T any](q []T, i int) []T {
+	if i == 0 {
+		var zero T
+		q[0] = zero
+		return q[1:]
+	}
+	return slices.Delete(q, i, i+1)
 }
 
 // runTransfer performs one directory transfer over the modeled link
@@ -691,13 +721,7 @@ func (e *engine) runTransfer(tr mem.Transfer, done func()) {
 				e.fail(err)
 				return
 			}
-			list := e.inflight[key]
-			for i, x := range list {
-				if x == fl {
-					e.inflight[key] = append(list[:i:i], list[i+1:]...)
-					break
-				}
-			}
+			e.landed(key, fl)
 			e.res.TransferCount++
 			if toDev {
 				e.res.HtoDBytes += tr.Bytes()
@@ -745,20 +769,16 @@ func (e *engine) runP2P(tr mem.Transfer, lr *linkRes, fwd bool, done func()) {
 				e.fail(err)
 				return
 			}
-			list := e.inflight[key]
-			for i, x := range list {
-				if x == fl {
-					e.inflight[key] = append(list[:i:i], list[i+1:]...)
-					break
-				}
-			}
+			e.landed(key, fl)
 			e.res.TransferCount++
 			e.res.P2PBytes += tr.Bytes()
-			e.cfg.Trace.Add(trace.Record{
-				Kind: trace.Transfer, Start: startAt, End: e.eng.Now(),
-				Device: to, Label: fmt.Sprintf("%s(p2p %d->%d)", tr.Buf.Name, from, to),
-				Bytes: tr.Bytes(), ToDev: true,
-			})
+			if e.cfg.Trace != nil {
+				e.cfg.Trace.Add(trace.Record{
+					Kind: trace.Transfer, Start: startAt, End: e.eng.Now(),
+					Device: to, Label: fmt.Sprintf("%s(p2p %d->%d)", tr.Buf.Name, from, to),
+					Bytes: tr.Bytes(), ToDev: true,
+				})
+			}
 			e.mx.p2pDone(tr.Bytes(), e.eng.Now()-startAt)
 			e.sp.transferDone(tr.Buf.Name, to, true, tr.Bytes(), startAt, e.eng.Now())
 			done()
@@ -802,7 +822,7 @@ func (e *engine) reofferCentral() {
 	if cs, ok := e.cfg.Scheduler.(clockSyncer); ok {
 		cs.SyncClock(e.eng.Now())
 	}
-	var remaining []*task.Instance
+	kept := e.central[:0]
 	for _, in := range e.central {
 		if dev, ok := e.cfg.Scheduler.OnReady(in, e); ok {
 			e.devQ[dev] = append(e.devQ[dev], in)
@@ -810,9 +830,10 @@ func (e *engine) reofferCentral() {
 			e.cfg.Scheduler.Placed(in, dev)
 			continue
 		}
-		remaining = append(remaining, in)
+		kept = append(kept, in)
 	}
-	e.central = remaining
+	clear(e.central[len(kept):])
+	e.central = kept
 }
 
 // dispatchAll offers work to idle executors in breadth-first rounds:
@@ -848,19 +869,13 @@ func (e *engine) dispatchOne(d *device.Device) bool {
 		if pick == nil {
 			return false
 		}
-		found := false
-		for i, c := range e.central {
-			if c == pick {
-				e.central = append(e.central[:i:i], e.central[i+1:]...)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.Index(e.central, pick)
+		if i < 0 {
 			e.fail(fmt.Errorf("rt: scheduler %s picked %v not in ready queue",
 				e.cfg.Scheduler.Name(), pick))
 			return false
 		}
+		e.central = without(e.central, i)
 		e.cfg.Scheduler.Placed(pick, d.ID)
 		e.mx.pulledFromCentral(d.ID)
 		in = pick
@@ -883,10 +898,12 @@ func (e *engine) start(in *task.Instance, d *device.Device) {
 		e.mx.decisionTaken(oh)
 		if oh > 0 {
 			s := e.eng.Now()
-			e.cfg.Trace.Add(trace.Record{
-				Kind: trace.Decision, Start: s, End: s + oh,
-				Device: d.ID, Label: in.String(),
-			})
+			if e.cfg.Trace != nil {
+				e.cfg.Trace.Add(trace.Record{
+					Kind: trace.Decision, Start: s, End: s + oh,
+					Device: d.ID, Label: in.String(),
+				})
+			}
 			e.sp.decision(in, d.ID, s, s+oh)
 			e.eng.After(oh, begin)
 			return
@@ -990,10 +1007,12 @@ func (e *engine) complete(in *task.Instance, d *device.Device, startAt sim.Time,
 		}
 	}
 
-	e.cfg.Trace.Add(trace.Record{
-		Kind: trace.TaskRun, Start: startAt, End: e.eng.Now(),
-		Device: d.ID, Label: in.String(), Kernel: in.Kernel.Name, Elems: in.Elems(),
-	})
+	if e.cfg.Trace != nil {
+		e.cfg.Trace.Add(trace.Record{
+			Kind: trace.TaskRun, Start: startAt, End: e.eng.Now(),
+			Device: d.ID, Label: in.String(), Kernel: in.Kernel.Name, Elems: in.Elems(),
+		})
+	}
 	e.res.ElemsByDevice[d.ID] += in.Elems()
 	km := e.res.ElemsByKernel[in.Kernel.Name]
 	if km == nil {

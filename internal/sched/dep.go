@@ -58,44 +58,48 @@ func (d *Dep) OnReady(*task.Instance, View) (int, bool) { return 0, false }
 
 // OnIdle implements Scheduler: prefer an instance whose chain is
 // resident on this device, else take the oldest ready instance
-// (breadth-first order).
+// (breadth-first order) whose chain no other device has claimed,
+// failing that simply the oldest. Only instances the device can run
+// count, and the pick takes one pass over the queue.
 func (d *Dep) OnIdle(dev int, ready []*task.Instance, v View) *task.Instance {
 	if len(ready) == 0 {
 		return nil
 	}
 	kind := kindOf(v, dev)
-	runnable := ready[:0:0]
+	var oldest, unclaimed *task.Instance
 	for _, in := range ready {
-		if in.Kernel.RunsOn(kind) {
-			runnable = append(runnable, in)
+		if !in.Kernel.RunsOn(kind) {
+			continue
+		}
+		if d.noAffinity {
+			return in
+		}
+		if oldest == nil {
+			oldest = in
+		}
+		if in.Chain < 0 {
+			if unclaimed == nil {
+				unclaimed = in
+			}
+			continue
+		}
+		home, ok := d.chainHome[in.Chain]
+		if ok && home == dev {
+			d.mAffinityHits.Inc()
+			return in
+		}
+		if !ok && unclaimed == nil {
+			unclaimed = in
 		}
 	}
-	if len(runnable) == 0 {
+	if oldest == nil {
 		return nil
 	}
-	if d.noAffinity {
-		return runnable[0]
-	}
-	for _, in := range runnable {
-		if in.Chain >= 0 {
-			if home, ok := d.chainHome[in.Chain]; ok && home == dev {
-				d.mAffinityHits.Inc()
-				return in
-			}
-		}
-	}
-	// Breadth-first fallback: oldest ready instance whose chain is not
-	// claimed by another device; failing that, simply the oldest.
 	d.mAffinityMiss.Inc()
-	for _, in := range runnable {
-		if in.Chain < 0 {
-			return in
-		}
-		if _, ok := d.chainHome[in.Chain]; !ok {
-			return in
-		}
+	if unclaimed != nil {
+		return unclaimed
 	}
-	return runnable[0]
+	return oldest
 }
 
 // kindOf resolves a device ID's kind through the view.
