@@ -67,10 +67,13 @@ fuzz:
 
 # The chaos/property harness: fault-injection determinism matrix,
 # monotonic degradation, cache isolation, device-loss replan, the
-# service fault surface, and the registry-suggestion properties.
+# service fault surface, the registry-suggestion properties, and the
+# single-flight memo's interleaving properties (under the race
+# detector).
 chaos:
 	$(GO) test -run 'TestChaos|TestService(FaultGate|ChaosCoalescedFailure|FaultedMatchmakeRecovers)|TestClosestProperties' -count=1 \
 		./internal/runner ./internal/service ./internal/names
+	$(GO) test -race -run 'TestGroup' -count=1 ./internal/memo
 
 # Smoke the platform catalog end to end: every bundled PlatformSpec in
 # examples/platforms/ must load through -platform-in and carry a full

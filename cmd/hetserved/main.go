@@ -75,7 +75,7 @@ func main() {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", svc.Handler())
 	mux.Handle("/", tel.Handler())
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := newServer(*addr, mux)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -97,6 +97,15 @@ func main() {
 	}
 	svc.Close()
 	log.Printf("hetserved: stopped")
+}
+
+// Connection limits: a client must send its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout. Request work is bounded by the request's own deadline.
+const readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // loadtestMix is the request mix the self-load test cycles through:
@@ -123,7 +132,7 @@ func runLoadtest(svc *service.Service, reg *heteropart.Metrics, clients, total i
 		log.Printf("loadtest: listen: %v", err)
 		return 1
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := newServer("", svc.Handler())
 	go srv.Serve(ln)
 	base := "http://" + ln.Addr().String()
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"heteropart/internal/apierr"
 	"heteropart/internal/metrics"
+	"heteropart/internal/telemetry"
 )
 
 // slowSpecs are chunk-heavy sweep points: each takes hundreds of
@@ -79,6 +81,66 @@ func TestRunAllContextCancelMidFlight(t *testing.T) {
 		if string(a) != string(b) {
 			t.Errorf("spec %d: rerun after cancel diverges from clean run", i)
 		}
+	}
+}
+
+// waitingCtx is context.Background that reports, by closing waiting,
+// the first time its caller selects on Done — the moment a cache
+// waiter starts to wait.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestRunContextCancelDoesNotPoisonWaiter: caller A starts a slow run,
+// caller B joins it with a background context, then A gives up. A must
+// get its own cancellation and B the run's result — never A's abort.
+func TestRunContextCancelDoesNotPoisonWaiter(t *testing.T) {
+	tr := telemetry.New()
+	r := New(Config{Workers: 1, Spans: tr})
+	spec := slowSpecs()[0]
+
+	actx, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	aerr := make(chan error, 1)
+	go func() {
+		_, err := r.RunContext(actx, spec)
+		aerr <- err
+	}()
+	// A's run span opens once its execution holds the worker.
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.Len() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("caller A's run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	bctx := &waitingCtx{Context: context.Background(), waiting: make(chan struct{})}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	bout := make(chan outcome, 1)
+	go func() {
+		res, err := r.RunContext(bctx, spec)
+		bout <- outcome{res, err}
+	}()
+	<-bctx.waiting
+	cancelA()
+
+	if err := <-aerr; !errors.Is(err, apierr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("caller A error = %v, want its own cancellation", err)
+	}
+	b := <-bout
+	if b.err != nil || b.res == nil || b.res.Outcome == nil {
+		t.Fatalf("caller B (background context) got res=%v err=%v, want a result", b.res, b.err)
 	}
 }
 

@@ -11,11 +11,11 @@
 //
 // A content-addressed result cache keyed by the canonical Spec
 // encoding (Spec.Key) lets repeated sweeps — auto-tuning, ratio
-// sweeps, report regeneration — skip already-measured points. Lookups
-// are single-flight: concurrent requests for the same key coalesce
-// onto one execution and all receive the identical *Result, which
-// also keeps the hit/miss counters deterministic regardless of the
-// worker count.
+// sweeps, report regeneration — skip already-measured points. Both
+// caches are internal/memo groups: concurrent requests for one key
+// coalesce onto one execution and all receive the identical *Result,
+// which keeps the hit/miss counters deterministic regardless of the
+// worker count; only successes are kept.
 //
 // Decisions are cached separately from results: a plan cache keyed by
 // Spec.PlanKey — the decision inputs only, excluding compute/trace/
@@ -28,7 +28,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -37,6 +36,7 @@ import (
 	"heteropart/internal/apierr"
 	"heteropart/internal/apps"
 	"heteropart/internal/device"
+	"heteropart/internal/memo"
 	"heteropart/internal/metrics"
 	"heteropart/internal/plan"
 	"heteropart/internal/strategy"
@@ -82,21 +82,6 @@ type Config struct {
 	Spans *telemetry.Tracer
 }
 
-// cacheEntry is one single-flight slot: the first requester executes,
-// later requesters wait on done and read the identical result.
-type cacheEntry struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
-// planEntry is the plan cache's single-flight slot.
-type planEntry struct {
-	done chan struct{}
-	pl   *plan.ExecutionPlan
-	err  error
-}
-
 // Runner executes Specs over a bounded worker pool with an optional
 // content-addressed result cache. The zero value is not usable; call
 // New.
@@ -108,9 +93,10 @@ type Runner struct {
 	// execution they wait on.
 	sem chan int
 
-	mu        sync.Mutex
-	cache     map[string]*cacheEntry // nil when caching is off
-	planCache map[string]*planEntry  // nil when caching is off
+	// results and plans are the result and plan caches; nil when
+	// caching is off.
+	results *memo.Group[*Result]
+	plans   *memo.Group[*plan.ExecutionPlan]
 
 	runs, hits, misses   *metrics.Counter
 	planHits, planMisses *metrics.Counter
@@ -135,10 +121,6 @@ func New(cfg Config) *Runner {
 	for i := 0; i < cfg.Workers; i++ {
 		r.sem <- i
 	}
-	if !cfg.DisableCache {
-		r.cache = make(map[string]*cacheEntry)
-		r.planCache = make(map[string]*planEntry)
-	}
 	if m := cfg.Metrics; m != nil {
 		r.runs = m.Counter("runner_runs_total", "simulation runs executed by the sweep pool")
 		r.hits = m.Counter("runner_cache_hits_total", "sweep points served from the result cache")
@@ -151,6 +133,10 @@ func New(cfg Config) *Runner {
 				metrics.Label("runner_worker_runs_total", "worker", strconv.Itoa(i)),
 				"runs completed per pool worker (not deterministic across worker counts)")
 		}
+	}
+	if !cfg.DisableCache {
+		r.results = memo.New[*Result](memo.Options{Hits: r.hits, Misses: r.misses})
+		r.plans = memo.New[*plan.ExecutionPlan](memo.Options{Hits: r.planHits, Misses: r.planMisses})
 	}
 	return r
 }
@@ -166,9 +152,8 @@ func (r *Runner) Run(spec Spec) (*Result, error) {
 // RunContext is Run under a cancellation context: the context gates
 // worker acquisition, cache waits and the simulation's phase
 // boundaries; an abandoned run returns an error wrapping
-// apierr.ErrCanceled. A canceled execution is evicted from the result
-// cache before its single-flight slot closes, so a later identical
-// spec re-executes cleanly instead of recalling the abort.
+// apierr.ErrCanceled. A caller that gives up detaches from a shared
+// run, which is canceled only when no caller still waits on it.
 func (r *Runner) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	return r.run(ctx, spec, 0)
 }
@@ -178,37 +163,13 @@ func (r *Runner) run(ctx context.Context, spec Spec, parent telemetry.SpanID) (*
 	if err := apierr.FromContext(ctx); err != nil {
 		return nil, err
 	}
-	if r.cache == nil {
+	if r.results == nil {
 		return r.execute(ctx, spec, parent)
 	}
-	key := spec.Key()
-	r.mu.Lock()
-	if e, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-e.done:
-		case <-ctx.Done():
-			return nil, apierr.Canceled(ctx.Err())
-		}
-		r.hits.Inc()
-		return e.res, e.err
-	}
-	e := &cacheEntry{done: make(chan struct{})}
-	r.cache[key] = e
-	r.mu.Unlock()
-	r.misses.Inc()
-	e.res, e.err = r.execute(ctx, spec, parent)
-	if e.err != nil && errors.Is(e.err, apierr.ErrCanceled) {
-		// Never cache a cancellation: the abort reflects this caller's
-		// context, not the spec's (deterministic) result.
-		r.mu.Lock()
-		if r.cache[key] == e {
-			delete(r.cache, key)
-		}
-		r.mu.Unlock()
-	}
-	close(e.done)
-	return e.res, e.err
+	res, _, err := r.results.Do(ctx, spec.Key(), func(ctx context.Context) (*Result, error) {
+		return r.execute(ctx, spec, parent)
+	})
+	return res, err
 }
 
 // RunAll executes every spec, fanning out over the worker pool, and
@@ -252,42 +213,64 @@ func (r *Runner) RunAllContext(ctx context.Context, specs []Spec) ([]*Result, er
 // (same key as executed specs, so a later execution of the spec reuses
 // it). The returned report is non-nil only for matchmade specs
 // (Spec.Strategy == ""). Planning itself is not interruptible; ctx
-// gates entry.
+// gates entry and the wait for a shared decision.
 func (r *Runner) PlanContext(ctx context.Context, spec Spec) (*plan.ExecutionPlan, *analyzer.Report, error) {
 	if err := apierr.FromContext(ctx); err != nil {
 		return nil, nil, err
 	}
-	plat := spec.platform()
-	app, err := apps.ByName(spec.App)
+	st, err := resolve(spec, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces: 1 + len(plat.Accels),
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var rep *analyzer.Report
-	stratName := spec.Strategy
-	if stratName == "" {
-		rr, err := analyzer.Analyze(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep = &rr
-		stratName = rr.Best
-	}
-	s, err := strategy.ByName(stratName)
-	if err != nil {
-		return nil, rep, err
-	}
-	pl, err := r.planFor(spec, s, plat, p, strategy.Options{
+	pl, err := r.planFor(ctx, spec, st, strategy.Options{
 		Chunks: spec.Chunks, NoSeed: spec.NoSeed, Spans: r.spans,
 		Faults: spec.Fault,
 	})
-	return pl, rep, err
+	return pl, st.rep, err
+}
+
+// setup is what every runner path resolves before deciding.
+type setup struct {
+	app  apps.App
+	plat *device.Platform
+	p    *apps.Problem
+	s    strategy.Strategy
+	// rep is the analyzer's decision; set only for matchmade specs.
+	rep *analyzer.Report
+}
+
+// resolve looks up the spec's application, builds its problem on the
+// spec's platform (with real data only when compute is set) and
+// resolves its strategy — for matchmade specs through the analyzer,
+// which is pure, so splitting it from the execution preserves
+// Matchmake's behaviour.
+func resolve(spec Spec, compute bool) (*setup, error) {
+	app, err := apps.ByName(spec.App)
+	if err != nil {
+		return nil, err
+	}
+	plat := spec.platform()
+	p, err := app.Build(apps.Variant{
+		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
+		Spaces:  1 + len(plat.Accels),
+		Compute: compute,
+	})
+	if err != nil {
+		return nil, err
+	}
+	st := &setup{app: app, plat: plat, p: p}
+	name := spec.Strategy
+	if name == "" {
+		rep, err := analyzer.Analyze(p)
+		if err != nil {
+			return nil, err
+		}
+		st.rep, name = &rep, rep.Best
+	}
+	if st.s, err = strategy.ByName(name); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // execute performs one run inside a worker slot. Everything mutable —
@@ -308,20 +291,11 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 	r.spans.Annotate(runSpan, "app", spec.App)
 	r.spans.Annotate(runSpan, "n", strconv.FormatInt(spec.N, 10))
 
-	plat := spec.platform()
-	app, err := apps.ByName(spec.App)
+	st, err := resolve(spec, spec.Compute)
 	if err != nil {
 		return nil, err
 	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces:  1 + len(plat.Accels),
-		Compute: spec.Compute,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Spec: spec}
+	res := &Result{Spec: spec, Report: st.rep}
 	if spec.WithMetrics {
 		res.Metrics = metrics.NewRegistry()
 	}
@@ -335,25 +309,10 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 		SpanParent:   runSpan,
 		Faults:       spec.Fault,
 	}
-	// Resolve the strategy first (for matchmade specs through the
-	// analyzer — Analyze is pure, so splitting it from the execution
-	// preserves Matchmake's behaviour), then decide and execute as
-	// separate steps so the decision can come from the plan cache.
-	stratName := spec.Strategy
-	if stratName == "" {
-		rep, err := analyzer.Analyze(p)
-		if err != nil {
-			return nil, err
-		}
-		res.Report = &rep
-		stratName = rep.Best
-	}
-	s, err := strategy.ByName(stratName)
-	if err != nil {
-		return nil, err
-	}
-	r.spans.Annotate(runSpan, "strategy", s.Name())
-	pl, err := r.planFor(spec, s, plat, p, opts)
+	// Decide and execute as separate steps so the decision can come
+	// from the plan cache.
+	r.spans.Annotate(runSpan, "strategy", st.s.Name())
+	pl, err := r.planFor(ctx, spec, st, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -362,12 +321,10 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 		// Faulted executions go through the bounded device-loss
 		// recovery: a lost accelerator replans on the survivors, and
 		// the result records the plan that actually executed. A failed
-		// faulted run returns its typed error like any other failure —
-		// the single-flight slot caches it under the fault-scoped key,
-		// never under a clean spec's.
-		rec, err := strategy.ExecuteRecover(ctx, pl, p, plat, opts,
+		// faulted run returns its typed error like any other failure.
+		rec, err := strategy.ExecuteRecover(ctx, pl, st.p, st.plat, opts,
 			func(surv *device.Platform) (*apps.Problem, error) {
-				return app.Build(apps.Variant{
+				return st.app.Build(apps.Variant{
 					N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
 					Spaces:  1 + len(surv.Accels),
 					Compute: spec.Compute,
@@ -380,12 +337,12 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 		res.Outcome = rec.Outcome
 		res.Verify = rec.Problem.Verify
 	} else {
-		out, err := strategy.ExecuteContext(ctx, pl, p, plat, opts)
+		out, err := strategy.ExecuteContext(ctx, pl, st.p, st.plat, opts)
 		if err != nil {
 			return nil, err
 		}
 		res.Outcome = out
-		res.Verify = p.Verify
+		res.Verify = st.p.Verify
 	}
 	r.runs.Inc()
 	if r.workerRuns != nil {
@@ -398,57 +355,27 @@ func (r *Runner) execute(ctx context.Context, spec Spec, parent telemetry.SpanID
 // cache when possible. Specs with a private metrics registry plan
 // inline on their own problem so the Glinda profiling gauges land in
 // that registry (a cached decision would silently skip them).
-func (r *Runner) planFor(spec Spec, s strategy.Strategy, plat *device.Platform,
-	p *apps.Problem, opts strategy.Options) (*plan.ExecutionPlan, error) {
-	if r.planCache == nil || spec.WithMetrics {
-		planSpan := r.spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+s.Name())
+func (r *Runner) planFor(ctx context.Context, spec Spec, st *setup, opts strategy.Options) (*plan.ExecutionPlan, error) {
+	decide := func(p *apps.Problem, opts strategy.Options) (*plan.ExecutionPlan, error) {
+		planSpan := r.spans.Begin(opts.SpanParent, telemetry.KindPlan, "plan "+st.s.Name())
+		defer r.spans.End(planSpan)
 		if planSpan != 0 {
 			opts.SpanParent = planSpan
 		}
-		pl, err := s.Plan(p, plat, opts)
-		r.spans.End(planSpan)
-		return pl, err
+		return st.s.Plan(p, st.plat, opts)
 	}
-	key := spec.PlanKey(s.Name())
-	r.mu.Lock()
-	if e, ok := r.planCache[key]; ok {
-		r.mu.Unlock()
-		<-e.done
-		r.planHits.Inc()
-		return e.pl, e.err
+	if r.plans == nil || spec.WithMetrics {
+		return decide(st.p, opts)
 	}
-	e := &planEntry{done: make(chan struct{})}
-	r.planCache[key] = e
-	r.mu.Unlock()
-	r.planMisses.Inc()
-	e.pl, e.err = r.decide(spec, s, plat, opts.SpanParent)
-	close(e.done)
-	return e.pl, e.err
-}
-
-// decide plans on a fresh timing-only problem build. The decision
-// depends only on the timing model — Glinda's probes simulate in
-// virtual time whether or not kernels compute real data — so
-// compute-mode and trace-mode variants of a spec share the cached
-// plan, and planning here leaves the caller's problem untouched.
-func (r *Runner) decide(spec Spec, s strategy.Strategy, plat *device.Platform,
-	parent telemetry.SpanID) (*plan.ExecutionPlan, error) {
-	app, err := apps.ByName(spec.App)
-	if err != nil {
-		return nil, err
-	}
-	p, err := app.Build(apps.Variant{
-		N: spec.N, Iters: spec.Iters, Sync: spec.Sync,
-		Spaces: 1 + len(plat.Accels),
+	// The cached decision uses the timing options only: Glinda's probes
+	// simulate in virtual time whether or not kernels compute real
+	// data, so compute-mode and trace-mode variants of a spec share it.
+	pl, _, err := r.plans.Do(ctx, spec.PlanKey(st.s.Name()), func(context.Context) (*plan.ExecutionPlan, error) {
+		return decide(st.p, strategy.Options{
+			Chunks: spec.Chunks, NoSeed: spec.NoSeed,
+			Spans: r.spans, SpanParent: opts.SpanParent,
+			Faults: spec.Fault,
+		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	planSpan := r.spans.Begin(parent, telemetry.KindPlan, "plan "+s.Name())
-	defer r.spans.End(planSpan)
-	return s.Plan(p, plat, strategy.Options{
-		Chunks: spec.Chunks, NoSeed: spec.NoSeed,
-		Spans: r.spans, SpanParent: planSpan,
-		Faults: spec.Fault,
-	})
+	return pl, err
 }

@@ -10,17 +10,19 @@
 //     When the queue is full the request is rejected immediately with
 //     429 and a Retry-After hint — the service sheds load instead of
 //     accumulating unbounded goroutines.
-//   - Coalescing: requests are single-flighted on the same canonical
-//     key that backs the runner's plan cache (Spec.PlanKey), so a
-//     thundering herd of identical requests costs one simulation;
-//     completed flights stay memoized (bounded by Config.MaxFlights)
-//     and later identical requests are served from memory.
+//   - Coalescing: requests are single-flighted (internal/memo) on the
+//     same canonical key that backs the runner's plan cache
+//     (Spec.PlanKey), so a thundering herd of identical requests costs
+//     one simulation. A flight's value is its encoded response;
+//     successful flights stay memoized (the newest 1024) and later
+//     identical requests are answered with those bytes.
 //   - Deadlines: every request runs under a context.Context carrying
 //     its deadline (Request.TimeoutMs, else Config.DefaultTimeout).
 //     The context is plumbed through the facade's *Context entry
 //     points down to the simulator's phase boundaries. A waiter that
 //     gives up detaches from its flight; when the last waiter
-//     detaches, the shared computation itself is canceled.
+//     detaches, the flight is forgotten and then canceled, so a later
+//     identical request starts a fresh one.
 //   - Isolation: a panicking request is recovered, counted
 //     (service_panics_total) and answered with 500; the daemon stays
 //     up.
@@ -28,7 +30,7 @@
 // The package consumes only the public heteropart surface for
 // matchmaking and execution — it is deliberately a client of the API
 // it fronts — plus the internal metrics/telemetry types the facade
-// aliases.
+// aliases and the internal/memo single-flight primitive.
 package service
 
 import (
@@ -45,6 +47,7 @@ import (
 	"time"
 
 	"heteropart"
+	"heteropart/internal/memo"
 	"heteropart/internal/metrics"
 	"heteropart/internal/telemetry"
 )
@@ -65,9 +68,6 @@ type Config struct {
 	// DefaultTimeout applies to requests that do not set timeout_ms
 	// (default 2 minutes).
 	DefaultTimeout time.Duration
-	// MaxFlights bounds the memoized completed flights (default 1024);
-	// the oldest completed flights are evicted first.
-	MaxFlights int
 	// AllowFaults admits requests carrying a fault schedule. Off by
 	// default: fault injection is a chaos-testing surface, and a public
 	// endpoint should not let callers crash simulated devices unless
@@ -83,18 +83,15 @@ type Config struct {
 	Spans *telemetry.Tracer
 }
 
-// flight is one single-flighted computation. The first request for a
-// key creates it; concurrent identical requests join as waiters and
-// read the identical response. waiters is guarded by Service.mu; the
-// remaining fields are written once before done closes.
-type flight struct {
-	key     string
-	done    chan struct{}
-	resp    *Response
-	err     error
-	cancel  context.CancelFunc
-	waiters int
-}
+// maxFlights bounds the memoized completed flights; the oldest are
+// evicted first.
+const maxFlights = 1024
+
+var (
+	// errAtCapacity is the admission hook's refusal: the queue is full.
+	errAtCapacity   = &httpErr{status: http.StatusTooManyRequests, code: CodeAtCapacity, msg: "service: at capacity, retry later"}
+	errShuttingDown = &httpErr{status: http.StatusServiceUnavailable, code: CodeShuttingDown, msg: "service: shutting down"}
+)
 
 // Service is the HTTP matchmaking service. Build one with New, mount
 // Handler on a mux, and Close it after the HTTP server has drained.
@@ -104,19 +101,16 @@ type Service struct {
 	reg    *metrics.Registry
 	spans  *telemetry.Tracer
 
-	// base is the parent of every flight context; Close cancels it.
-	base       context.Context
-	cancelBase context.CancelFunc
+	// flights single-flights and memoizes the coalescible endpoints;
+	// each value is a flight's encoded {"result": ...} envelope.
+	flights *memo.Group[[]byte]
 
 	// sem bounds executing flights.
 	sem chan struct{}
 
-	mu      sync.Mutex
-	closed  bool
-	flights map[string]*flight
-	// order remembers flight keys in creation order for FIFO eviction
-	// of memoized flights (stale keys are skipped).
-	order []string
+	closed atomic.Bool
+
+	mu sync.Mutex
 	// calib is the per-platform calibration state, keyed by the
 	// request's platform name ("" = the default paper platform). POST
 	// /v1/calibrate installs a report; subsequent requests for that
@@ -148,19 +142,12 @@ func New(cfg Config) *Service {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 2 * time.Minute
 	}
-	if cfg.MaxFlights <= 0 {
-		cfg.MaxFlights = 1024
-	}
-	base, cancel := context.WithCancel(context.Background())
 	s := &Service{
-		cfg:        cfg,
-		reg:        cfg.Metrics,
-		spans:      cfg.Spans,
-		base:       base,
-		cancelBase: cancel,
-		sem:        make(chan struct{}, cfg.Workers),
-		flights:    make(map[string]*flight),
-		calib:      make(map[string]*heteropart.CalibrationReport),
+		cfg:   cfg,
+		reg:   cfg.Metrics,
+		spans: cfg.Spans,
+		sem:   make(chan struct{}, cfg.Workers),
+		calib: make(map[string]*heteropart.CalibrationReport),
 	}
 	s.runner = heteropart.NewRunner(heteropart.RunnerConfig{
 		Workers: cfg.Workers, Metrics: cfg.Metrics, Spans: cfg.Spans,
@@ -174,6 +161,13 @@ func New(cfg Config) *Service {
 	s.inflight = m.Gauge("service_inflight", "flights currently executing")
 	s.queueDepth = m.Gauge("service_queue_depth", "flights admitted but not yet executing")
 	s.flightCount = m.Gauge("service_flights", "live + memoized flights")
+	s.flights = memo.New[[]byte](memo.Options{
+		Retain:  maxFlights,
+		Admit:   s.admit,
+		OnPanic: func(any) { s.panics.Inc() },
+		Hits:    s.coalesceHits,
+		Misses:  s.coalesceMisses,
+	})
 	s.appsJSON = envelopeBytes(appsListing())
 	s.strategiesJSON = envelopeBytes(strategiesListing())
 	s.platformsJSON = envelopeBytes(platformsListing())
@@ -188,10 +182,8 @@ func (s *Service) Runner() *heteropart.Runner { return s.runner }
 // has drained (http.Server.Shutdown), so in-flight requests finish
 // normally and only orphaned computations are torn down.
 func (s *Service) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cancelBase()
+	s.closed.Store(true)
+	s.flights.Close()
 }
 
 // Handler returns the /v1 API surface.
@@ -279,8 +271,8 @@ type OutcomeView struct {
 }
 
 // Response is the result payload of a successful POST request (the
-// "result" member of the v1 envelope). Coalesced waiters share one
-// Response value, so it is immutable once built.
+// "result" member of the v1 envelope). A flight encodes its Response
+// once; coalesced waiters share the encoded bytes.
 type Response struct {
 	Report      *ReportView      `json:"report,omitempty"`
 	Plan        json.RawMessage  `json:"plan,omitempty"`
@@ -701,7 +693,7 @@ func (s *Service) analyzeStructure(w http.ResponseWriter, req *Request) {
 		writeError(w, fmt.Errorf("service: no strategy for class %v", cls))
 		return
 	}
-	writeJSON(w, http.StatusOK, &Response{Report: &ReportView{
+	writeJSON(w, &Response{Report: &ReportView{
 		App:       "(structure)",
 		Class:     cls.String(),
 		NeedsSync: st.InterKernelSync,
@@ -743,15 +735,14 @@ func (s *Service) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		writeError(w, &httpErr{status: http.StatusServiceUnavailable, code: CodeShuttingDown, msg: "service: shutting down"})
+	if s.closed.Load() {
+		writeError(w, errShuttingDown)
 		return
 	}
+	s.mu.Lock()
 	s.calib[req.Platform] = report
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, &Response{Calibration: &CalibrationView{
+	writeJSON(w, &Response{Calibration: &CalibrationView{
 		Platform:    req.Platform,
 		Fingerprint: report.Platform,
 		App:         report.App,
@@ -763,7 +754,8 @@ func (s *Service) handleCalibrate(w http.ResponseWriter, r *http.Request) {
 // ---- flight machinery -------------------------------------------------
 
 // serve runs one coalescible request end to end: derive the deadline
-// context, admit or join a flight, await it, map the outcome.
+// context, start or join the key's flight, wait for it, write its
+// encoded result.
 func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	key string, work func(context.Context) (*Response, error)) {
 	timeout := s.cfg.DefaultTimeout
@@ -773,19 +765,21 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	fl, joined, status := s.getFlight(key, work)
-	switch status {
-	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		writeError(w, &httpErr{status: status, code: CodeAtCapacity, msg: "service: at capacity, retry later"})
-		return
-	case http.StatusServiceUnavailable:
-		writeError(w, &httpErr{status: status, code: CodeShuttingDown, msg: "service: shutting down"})
+	if s.closed.Load() {
+		writeError(w, errShuttingDown)
 		return
 	}
-	w.Header().Set("X-Heteropart-Coalesced", strconv.FormatBool(joined))
-
-	resp, err := s.await(ctx, fl)
+	body, shared, err := s.flights.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
+		return s.fly(ctx, work)
+	})
+	s.flightCount.SetInt(int64(s.flights.Len()))
+	if errors.Is(err, errAtCapacity) {
+		// One second of slack per queued batch of workers.
+		w.Header().Set("Retry-After", strconv.Itoa(1+int(s.queued.Load())/s.cfg.Workers))
+		writeError(w, err)
+		return
+	}
+	w.Header().Set("X-Heteropart-Coalesced", strconv.FormatBool(shared))
 	if err != nil {
 		if statusFor(err) == StatusClientClosedRequest {
 			s.canceled.Inc()
@@ -793,62 +787,29 @@ func (s *Service) serve(w http.ResponseWriter, r *http.Request, req *Request,
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRaw(w, body)
 }
 
-// getFlight joins an existing flight for key or admits a new one.
-// status is 0 on success, 429 when the queue is full, 503 when the
-// service is closed.
-func (s *Service) getFlight(key string, work func(context.Context) (*Response, error)) (fl *flight, joined bool, status int) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false, http.StatusServiceUnavailable
-	}
-	if fl, ok := s.flights[key]; ok {
-		fl.waiters++
-		s.mu.Unlock()
-		s.coalesceHits.Inc()
-		return fl, true, 0
-	}
+// admit is the flights' admission hook: a new flight takes a queue
+// place, or is refused when the queue is full. Joining a flight is
+// free.
+func (s *Service) admit() error {
 	if int(s.queued.Load()) >= s.cfg.Queue {
-		s.mu.Unlock()
 		s.rejected.Inc()
-		return nil, false, http.StatusTooManyRequests
+		return errAtCapacity
 	}
-	fctx, cancel := context.WithCancel(s.base)
-	fl = &flight{key: key, done: make(chan struct{}), cancel: cancel, waiters: 1}
-	s.flights[key] = fl
-	s.order = append(s.order, key)
-	s.evictLocked()
-	s.flightCount.SetInt(int64(len(s.flights)))
-	s.mu.Unlock()
-	s.coalesceMisses.Inc()
 	s.queueDepth.SetInt(s.queued.Add(1))
-	go s.runFlight(fctx, fl, work)
-	return fl, false, 0
+	return nil
 }
 
-// runFlight executes one flight inside a worker slot, with panic
-// isolation. Failed or canceled flights are forgotten so a later
-// identical request recomputes; successful flights stay memoized.
-func (s *Service) runFlight(ctx context.Context, fl *flight, work func(context.Context) (*Response, error)) {
-	defer close(fl.done)
-	defer fl.cancel()
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Inc()
-			fl.err = fmt.Errorf("service: recovered panic: %v", r)
-			s.forget(fl)
-		}
-	}()
+// fly executes one admitted flight inside a worker slot and encodes
+// its response.
+func (s *Service) fly(ctx context.Context, work func(context.Context) (*Response, error)) ([]byte, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.queueDepth.SetInt(s.queued.Add(-1))
-		fl.err = fmt.Errorf("service: abandoned while queued: %w", heteropart.ErrCanceled)
-		s.forget(fl)
-		return
+		return nil, fmt.Errorf("service: abandoned while queued: %w", heteropart.ErrCanceled)
 	}
 	s.queueDepth.SetInt(s.queued.Add(-1))
 	defer func() { <-s.sem }()
@@ -857,73 +818,11 @@ func (s *Service) runFlight(ctx context.Context, fl *flight, work func(context.C
 	if hook := s.panicHook; hook != nil {
 		hook()
 	}
-	fl.resp, fl.err = work(ctx)
-	if fl.err != nil {
-		s.forget(fl)
+	resp, err := work(ctx)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// await blocks until the flight completes or the request's context
-// expires. An abandoning waiter detaches; the last waiter to detach
-// cancels the shared computation (nobody wants its result anymore).
-func (s *Service) await(ctx context.Context, fl *flight) (*Response, error) {
-	select {
-	case <-fl.done:
-		s.detach(fl, false)
-		return fl.resp, fl.err
-	case <-ctx.Done():
-		s.detach(fl, true)
-		return nil, fmt.Errorf("service: request abandoned (%v): %w", ctx.Err(), heteropart.ErrCanceled)
-	}
-}
-
-func (s *Service) detach(fl *flight, abandoned bool) {
-	s.mu.Lock()
-	fl.waiters--
-	last := fl.waiters == 0
-	s.mu.Unlock()
-	if abandoned && last {
-		fl.cancel()
-	}
-}
-
-// forget drops a flight from the memo map (failures are never served
-// from memory). Callers hold no lock.
-func (s *Service) forget(fl *flight) {
-	s.mu.Lock()
-	if s.flights[fl.key] == fl {
-		delete(s.flights, fl.key)
-	}
-	s.flightCount.SetInt(int64(len(s.flights)))
-	s.mu.Unlock()
-}
-
-// evictLocked trims memoized flights beyond MaxFlights, oldest first,
-// skipping flights still running (their done channel is open). Caller
-// holds s.mu.
-func (s *Service) evictLocked() {
-	for len(s.flights) > s.cfg.MaxFlights && len(s.order) > 0 {
-		key := s.order[0]
-		s.order = s.order[1:]
-		fl, ok := s.flights[key]
-		if !ok {
-			continue // already forgotten
-		}
-		select {
-		case <-fl.done:
-			delete(s.flights, key)
-		default:
-			s.order = append(s.order, key) // still running; retry later
-			return
-		}
-	}
-}
-
-// retryAfter estimates (in whole seconds) when the queue may have
-// room: one second of slack per queued batch of workers.
-func (s *Service) retryAfter() int {
-	q := int(s.queued.Load())
-	return 1 + q/s.cfg.Workers
+	return encodeResult(resp)
 }
 
 // ---- response rendering -----------------------------------------------
@@ -960,21 +859,23 @@ func responseOf(rep *heteropart.Report, pl *heteropart.ExecutionPlan, out *heter
 	return resp
 }
 
-// writeJSON wraps a result payload in the v1 envelope and sends it.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeResult renders a result payload in the v1 envelope.
+func encodeResult(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		writeError(w, fmt.Errorf("service: encode response: %v", err))
-		return
+		return nil, fmt.Errorf("service: encode response: %v", err)
 	}
-	env, err := json.Marshal(Envelope{Result: b})
+	return envelopeBytes(b), nil
+}
+
+// writeJSON sends a result payload in the v1 envelope.
+func writeJSON(w http.ResponseWriter, v any) {
+	b, err := encodeResult(v)
 	if err != nil {
-		writeError(w, fmt.Errorf("service: encode envelope: %v", err))
+		writeError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(env, '\n'))
+	writeRaw(w, b)
 }
 
 func writeRaw(w http.ResponseWriter, b []byte) {
@@ -982,8 +883,8 @@ func writeRaw(w http.ResponseWriter, b []byte) {
 	w.Write(b)
 }
 
-// envelopeBytes pre-renders {"result": <result>}\n for static
-// listings computed once at startup.
+// envelopeBytes renders {"result": <result>}\n once, for the static
+// listings and for each flight.
 func envelopeBytes(result []byte) []byte {
 	env, _ := json.Marshal(Envelope{Result: result})
 	return append(env, '\n')
