@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test bench bench-report vet lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test perfbench-test bench bench-report vet fmt-check lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -24,6 +24,10 @@ perfbench-test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean; the failure lists the files.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Static analysis beyond vet. staticcheck is not vendored; when the
 # binary is absent the target skips with a notice instead of failing
@@ -99,7 +103,7 @@ calibrate:
 	rm -rf $$tmp && echo "calibrate: record -> fit -> converge ok"
 
 # Everything a change must pass before merging.
-check: build vet lint test perfbench-test race service-load chaos fuzz platforms calibrate bench-report
+check: build fmt-check vet lint test perfbench-test race service-load chaos fuzz platforms calibrate bench-report
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -137,7 +137,7 @@ func ValidateRanking(app apps.App, v apps.Variant, plat *device.Platform, opts s
 	if err != nil {
 		return nil, err
 	}
-	val := &Validation{Report: rep, Times: make(map[string]sim.Duration)}
+	times := make(map[string]sim.Duration, len(rep.Ranked))
 	for _, name := range rep.Ranked {
 		s, err := strategy.ByName(name)
 		if err != nil {
@@ -151,22 +151,30 @@ func ValidateRanking(app apps.App, v apps.Variant, plat *device.Platform, opts s
 		if err != nil {
 			return nil, fmt.Errorf("analyzer: validating %s with %s: %w", rep.App, name, err)
 		}
-		val.Times[name] = out.Result.Makespan
+		times[name] = out.Result.Makespan
 	}
+	return Rank(rep, times), nil
+}
 
+// Rank checks measured makespans against the report's Table I ranking:
+// the empirical ordering sorts rep.Ranked by time (stable, so ties keep
+// the theoretical order), and the ranking matches when no strategy is
+// slower than its successor by more than the tie tolerance. times must
+// hold every ranked strategy; the caller decides where they come from.
+func Rank(rep Report, times map[string]sim.Duration) *Validation {
+	val := &Validation{Report: rep, Times: times}
 	val.Empirical = append([]string(nil), rep.Ranked...)
 	sort.SliceStable(val.Empirical, func(i, j int) bool {
-		return val.Times[val.Empirical[i]] < val.Times[val.Empirical[j]]
+		return times[val.Empirical[i]] < times[val.Empirical[j]]
 	})
-
 	val.Matches = true
 	for i := 0; i+1 < len(rep.Ranked); i++ {
-		a := float64(val.Times[rep.Ranked[i]])
-		b := float64(val.Times[rep.Ranked[i+1]])
+		a := float64(times[rep.Ranked[i]])
+		b := float64(times[rep.Ranked[i+1]])
 		if a > b*(1+rankTolerance) {
 			val.Matches = false
 			break
 		}
 	}
-	return val, nil
+	return val
 }

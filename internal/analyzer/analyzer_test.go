@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -260,23 +261,35 @@ func TestValidateRankingBuildError(t *testing.T) {
 }
 
 func TestValidateRankingMismatchDetection(t *testing.T) {
-	// Force a mismatch artificially: a validation whose times invert
-	// the ranking must report Matches=false. Use the internal check by
-	// constructing the struct directly.
-	v := &Validation{
-		Report: Report{Ranked: []string{"A", "B"}},
-		Times:  map[string]sim.Duration{"A": 200, "B": 100},
-	}
-	// Recompute matches the way ValidateRanking does.
-	matches := true
-	for i := 0; i+1 < len(v.Ranked); i++ {
-		a := float64(v.Times[v.Ranked[i]])
-		b := float64(v.Times[v.Ranked[i+1]])
-		if a > b*(1+rankTolerance) {
-			matches = false
-		}
-	}
-	if matches {
+	// Times that invert the ranking must report Matches=false.
+	v := Rank(Report{Ranked: []string{"A", "B"}}, map[string]sim.Duration{"A": 200, "B": 100})
+	if v.Matches {
 		t.Fatal("inverted times considered matching")
+	}
+	if want := []string{"B", "A"}; !reflect.DeepEqual(v.Empirical, want) {
+		t.Fatalf("empirical = %v, want %v", v.Empirical, want)
+	}
+}
+
+// TestRankTieTolerance: a strategy slower than its successor by at most
+// rankTolerance still matches (the paper's "outperforms or equals"),
+// while the empirical ordering reports the measured order; one step
+// past the tolerance is a mismatch.
+func TestRankTieTolerance(t *testing.T) {
+	rep := Report{Ranked: []string{"A", "B", "C"}}
+	v := Rank(rep, map[string]sim.Duration{"A": 1050, "B": 1000, "C": 2000})
+	if !v.Matches {
+		t.Fatal("a 5% inversion broke the ranking")
+	}
+	if want := []string{"B", "A", "C"}; !reflect.DeepEqual(v.Empirical, want) {
+		t.Fatalf("empirical = %v, want %v", v.Empirical, want)
+	}
+	// Equal times keep the theoretical order.
+	v = Rank(rep, map[string]sim.Duration{"A": 1000, "B": 1000, "C": 1000})
+	if want := []string{"A", "B", "C"}; !v.Matches || !reflect.DeepEqual(v.Empirical, want) {
+		t.Fatalf("ties: matches=%t empirical=%v, want true %v", v.Matches, v.Empirical, want)
+	}
+	if v := Rank(rep, map[string]sim.Duration{"A": 1051, "B": 1000, "C": 2000}); v.Matches {
+		t.Fatal("a 5.1% inversion matched")
 	}
 }

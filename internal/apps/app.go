@@ -204,22 +204,37 @@ func checkClose(name string, got, want []float32, tol float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d vs %d", name, len(got), len(want))
 	}
-	for i := range got {
-		g, w := float64(got[i]), float64(want[i])
-		d := g - w
-		if d < 0 {
-			d = -d
+	return checkPeriodic(name, got, want, tol)
+}
+
+// checkPeriodic is checkClose against a reference that repeats with
+// period len(want): got[i] is compared with want[i%len(want)], and the
+// first mismatch is reported by its index in got.
+func checkPeriodic(name string, got, want []float32, tol float64) error {
+	if len(want) == 0 {
+		if len(got) == 0 {
+			return nil
 		}
-		scale := 1.0
-		if w > 1 || w < -1 {
-			if w < 0 {
-				scale = -w
-			} else {
-				scale = w
+		return fmt.Errorf("%s: empty reference for %d elements", name, len(got))
+	}
+	for off := 0; off < len(got); off += len(want) {
+		for j, gv := range got[off:min(off+len(want), len(got))] {
+			g, w := float64(gv), float64(want[j])
+			d := g - w
+			if d < 0 {
+				d = -d
 			}
-		}
-		if d > tol*scale {
-			return fmt.Errorf("%s[%d] = %g, want %g", name, i, g, w)
+			scale := 1.0
+			if w > 1 || w < -1 {
+				if w < 0 {
+					scale = -w
+				} else {
+					scale = w
+				}
+			}
+			if d > tol*scale {
+				return fmt.Errorf("%s[%d] = %g, want %g", name, off+j, g, w)
+			}
 		}
 	}
 	return nil

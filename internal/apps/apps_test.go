@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"heteropart/internal/classify"
@@ -167,6 +169,52 @@ func TestBlackScholesCorrect(t *testing.T) {
 	runSequential(t, p)
 	p2, _ := NewBlackScholes().Build(smallVariant(5000, 1))
 	runSplit(t, p2)
+}
+
+// TestBlackScholesInputsPeriodic: the compute-mode reference covers one
+// input period, which is only sound if the inputs really repeat.
+func TestBlackScholesInputsPeriodic(t *testing.T) {
+	for i := int64(0); i < bsPeriod; i++ {
+		s0, x0, t0 := bsInput(i)
+		s1, x1, t1 := bsInput(i + bsPeriod)
+		s2, x2, t2 := bsInput(i + 7*bsPeriod)
+		if s0 != s1 || x0 != x1 || t0 != t1 || s0 != s2 || x0 != x2 || t0 != t2 {
+			t.Fatalf("option %d differs from its copies one and seven periods on", i)
+		}
+	}
+}
+
+// TestBlackScholesCorrectPastPeriod runs a split execution over more
+// than two input periods, so Verify compares wrapped elements.
+func TestBlackScholesCorrectPastPeriod(t *testing.T) {
+	p, err := NewBlackScholes().Build(smallVariant(2*bsPeriod+123, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSplit(t, p)
+}
+
+// TestBlackScholesVerifyNamesMissedIndex: an output left uncomputed
+// past the first period, or at the last index, fails Verify, and the
+// error names its global index.
+func TestBlackScholesVerifyNamesMissedIndex(t *testing.T) {
+	n := int64(2*bsPeriod + 123)
+	for _, skip := range []int64{bsPeriod, bsPeriod + 1, n - 1} {
+		p, err := NewBlackScholes().Build(smallVariant(n, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := p.Phases[0].Kernel
+		k.Compute(0, skip)
+		k.Compute(skip+1, n)
+		err = p.Verify()
+		if err == nil {
+			t.Fatalf("output %d left uncomputed, Verify passed", skip)
+		}
+		if want := fmt.Sprintf("[%d]", skip); !strings.Contains(err.Error(), want) {
+			t.Fatalf("output %d left uncomputed: error %q does not name it", skip, err)
+		}
+	}
 }
 
 func TestBlackScholesPriceSanity(t *testing.T) {

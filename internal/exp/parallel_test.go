@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"testing"
 
 	"heteropart/internal/device"
@@ -40,7 +41,9 @@ func TestExperimentsParallelByteIdentical(t *testing.T) {
 }
 
 // TestReportParallelIdentical: the full EXPERIMENTS.md document must
-// be byte-identical between the sequential and the pooled path.
+// be byte-identical between the sequential and the pooled path, and
+// both must equal the committed report (regenerate it with
+// `make report` after an intended change).
 func TestReportParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice")
@@ -57,6 +60,23 @@ func TestReportParallelIdentical(t *testing.T) {
 	if seq != par {
 		t.Fatal("parallel report differs from sequential")
 	}
+	committed, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != string(committed) {
+		t.Fatalf("regenerated report differs from the committed EXPERIMENTS.md at byte %d",
+			firstDiff(seq, string(committed)))
+	}
+}
+
+// firstDiff returns the index of the first byte where a and b differ.
+func firstDiff(a, b string) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // TestSharedEnvCacheDedupes: experiments repeat many (app, strategy)

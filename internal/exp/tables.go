@@ -10,37 +10,35 @@ import (
 	"heteropart/internal/device"
 	"heteropart/internal/glinda"
 	"heteropart/internal/runner"
-	"heteropart/internal/strategy"
+	"heteropart/internal/sim"
 )
+
+// table1Cases are the application variants Table 1 validates.
+var table1Cases = []struct {
+	app  string
+	sync apps.SyncMode
+}{
+	{"MatrixMul", apps.SyncDefault},
+	{"BlackScholes", apps.SyncDefault},
+	{"Nbody", apps.SyncDefault},
+	{"HotSpot", apps.SyncDefault},
+	{"STREAM-Seq", apps.SyncNone},
+	{"STREAM-Seq", apps.SyncForced},
+	{"STREAM-Loop", apps.SyncNone},
+	{"STREAM-Loop", apps.SyncForced},
+}
 
 // Table1 validates the performance ranking of Table I empirically: for
 // every application variant, run all suitable strategies and check the
 // measured ordering against the theoretical one (Section IV-B5: "The
-// performance ranking ... matches the theoretical ranking").
+// performance ranking ... matches the theoretical ranking"). The runs
+// come from the shared runner, so the figures' cached runs serve them.
 func Table1(env *Env) (*Table, error) {
-	plat := env.Plat
 	t := &Table{ID: "table1", Title: "Suitable strategies: theoretical vs empirical ranking",
 		Columns: []string{"app", "class", "sync", "theoretical", "empirical", "match"}}
-	cases := []struct {
-		app  string
-		sync apps.SyncMode
-	}{
-		{"MatrixMul", apps.SyncDefault},
-		{"BlackScholes", apps.SyncDefault},
-		{"Nbody", apps.SyncDefault},
-		{"HotSpot", apps.SyncDefault},
-		{"STREAM-Seq", apps.SyncNone},
-		{"STREAM-Seq", apps.SyncForced},
-		{"STREAM-Loop", apps.SyncNone},
-		{"STREAM-Loop", apps.SyncForced},
-	}
 	allMatch := true
-	for _, c := range cases {
-		app, err := apps.ByName(c.app)
-		if err != nil {
-			return nil, err
-		}
-		val, err := analyzer.ValidateRanking(app, apps.Variant{Sync: c.sync, Spaces: 1 + len(plat.Accels)}, plat, strategy.Options{})
+	for _, c := range table1Cases {
+		val, err := table1Case(env, c.app, c.sync)
 		if err != nil {
 			return nil, err
 		}
@@ -59,6 +57,32 @@ func Table1(env *Env) (*Table, error) {
 	t.AddCheck("the empirical ranking matches the theoretical ranking for every application",
 		allMatch, "")
 	return t, nil
+}
+
+// table1Case is analyzer.ValidateRanking with the runs fetched through
+// the environment's runner.
+func table1Case(env *Env, appName string, sync apps.SyncMode) (*analyzer.Validation, error) {
+	app, err := apps.ByName(appName)
+	if err != nil {
+		return nil, err
+	}
+	probe, err := app.Build(apps.Variant{Sync: sync, Spaces: 1 + len(env.Plat.Accels)})
+	if err != nil {
+		return nil, err
+	}
+	rep, err := analyzer.Analyze(probe)
+	if err != nil {
+		return nil, err
+	}
+	res, err := env.timesFor(appName, sync, rep.Ranked)
+	if err != nil {
+		return nil, err
+	}
+	times := make(map[string]sim.Duration, len(res))
+	for name, out := range res {
+		times[name] = out.Result.Makespan
+	}
+	return analyzer.Rank(rep, times), nil
 }
 
 func join(names []string) string {
@@ -293,19 +317,17 @@ func Imbalance(*Env) (*Table, error) {
 	t := &Table{ID: "imbalance", Title: "Imbalanced-workload partitioning (extension)",
 		Columns: []string{"weight profile", "split point", "GPU share of elements"}}
 	n := int64(1 << 20)
-	uniform := make([]float64, n+1)
-	ascending := make([]float64, n+1)
-	for i := int64(1); i <= n; i++ {
-		uniform[i] = uniform[i-1] + 1
-		ascending[i] = ascending[i-1] + float64(i)
-	}
+	// Prefix sums of weight 1 and of weight i+1 per element i, in
+	// closed form (exact in float64 at this n).
+	uniform := func(i int64) float64 { return float64(i) }
+	ascending := func(i int64) float64 { return float64(i * (i + 1) / 2) }
 	// Synthetic rates: GPU 4x the CPU in weight units.
 	rg, rc := 4.0e9, 1.0e9
-	su, err := glinda.SolveImbalanced(uniform, rg, rc, 0, 0, 0)
+	su, err := glinda.SolveImbalancedFunc(n, uniform, rg, rc, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	sa, err := glinda.SolveImbalanced(ascending, rg, rc, 0, 0, 0)
+	sa, err := glinda.SolveImbalancedFunc(n, ascending, rg, rc, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package glinda
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,5 +135,56 @@ func TestQuickOptimumBeatsEndpoints(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: on random nondecreasing prefix sums the slice and function
+// forms of the imbalanced solver pick the same split, and that split
+// attains the brute-force minimax cost. Making one step decreasing
+// fails both forms with the same error, naming that index.
+func TestQuickSolveImbalancedFuncMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(400)
+		prefix := make([]float64, n+1)
+		prefix[0] = float64(rng.Intn(3))
+		for i := 1; i <= n; i++ {
+			prefix[i] = prefix[i-1] + float64(rng.Intn(50)) // zero steps allowed
+		}
+		fn := func(i int64) float64 { return prefix[i] }
+		rg, rc := float64(rng.Intn(1000)+1), float64(rng.Intn(1000)+1)
+		slope, c0, bw := float64(rng.Intn(8)), float64(rng.Intn(100)), float64(rng.Intn(3))*500
+		s1, err1 := SolveImbalanced(prefix, rg, rc, slope, c0, bw)
+		s2, err2 := SolveImbalancedFunc(int64(n), fn, rg, rc, slope, c0, bw)
+		if err1 != nil || err2 != nil || s1 != s2 {
+			t.Fatalf("trial %d: slice %d (%v), func %d (%v)", trial, s1, err1, s2, err2)
+		}
+		cost := func(s int) float64 {
+			tg := prefix[s] / rg
+			if bw > 0 && s > 0 {
+				tg += (slope*float64(s) + c0) / bw
+			}
+			return math.Max(tg, (prefix[n]-prefix[s])/rc)
+		}
+		best := math.Inf(1)
+		for s := 0; s <= n; s++ {
+			best = math.Min(best, cost(s))
+		}
+		if got := cost(int(s1)); got != best {
+			t.Fatalf("trial %d: split %d costs %g, optimum %g", trial, s1, got, best)
+		}
+
+		if n == 0 {
+			continue
+		}
+		k := 1 + rng.Intn(n)
+		bad := append([]float64(nil), prefix...)
+		bad[k] = bad[k-1] - 1
+		_, err1 = SolveImbalanced(bad, rg, rc, slope, c0, bw)
+		_, err2 = SolveImbalancedFunc(int64(n), func(i int64) float64 { return bad[i] }, rg, rc, slope, c0, bw)
+		want := fmt.Sprintf("(index %d)", k)
+		if err1 == nil || err2 == nil || err1.Error() != err2.Error() || !strings.Contains(err1.Error(), want) {
+			t.Fatalf("trial %d: decreasing at %d: slice %v, func %v", trial, k, err1, err2)
+		}
 	}
 }

@@ -11,18 +11,25 @@ import "fmt"
 //	T_gpu(s) = P[s]/rgw + (slope·s + c0)/B      (weights/s + bytes/s)
 //	T_cpu(s) = (P[n] - P[s])/rcw
 //
-// rgw and rcw are throughputs in weight units per second; pass
-// bInf = true (or B <= 0 is rejected) via an infinite B using slope = 0
-// when the kernel moves no data.
+// rgw and rcw are throughputs in weight units per second; the transfer
+// term is bytes over bandwidth B, and bandwidth <= 0 drops it (a
+// kernel that moves no data).
 //
 // Both sides are monotone in s (GPU nondecreasing, CPU nonincreasing),
 // so the minimax sits where they cross; binary search finds it in
 // O(log n).
 func SolveImbalanced(prefix []float64, rgw, rcw, slope, c0, bandwidth float64) (int64, error) {
-	if len(prefix) < 1 {
+	return SolveImbalancedFunc(int64(len(prefix)-1), func(i int64) float64 { return prefix[i] },
+		rgw, rcw, slope, c0, bandwidth)
+}
+
+// SolveImbalancedFunc is SolveImbalanced over n elements whose prefix
+// sums come from a function: prefix(i) is the total weight of [0, i)
+// for i in [0, n]. Closed-form profiles need no n+1-element table.
+func SolveImbalancedFunc(n int64, prefix func(int64) float64, rgw, rcw, slope, c0, bandwidth float64) (int64, error) {
+	if n < 0 {
 		return 0, fmt.Errorf("glinda: prefix sums empty")
 	}
-	n := int64(len(prefix) - 1)
 	if rgw <= 0 && rcw <= 0 {
 		return 0, fmt.Errorf("glinda: no capable devices")
 	}
@@ -32,19 +39,23 @@ func SolveImbalanced(prefix []float64, rgw, rcw, slope, c0, bandwidth float64) (
 	if rcw <= 0 {
 		return n, nil
 	}
-	for i := 1; i < len(prefix); i++ {
-		if prefix[i] < prefix[i-1] {
+	prev := prefix(0)
+	for i := int64(1); i <= n; i++ {
+		cur := prefix(i)
+		if cur < prev {
 			return 0, fmt.Errorf("glinda: prefix sums must be nondecreasing (index %d)", i)
 		}
+		prev = cur
 	}
+	total := prev
 	tg := func(s int64) float64 {
-		t := prefix[s] / rgw
+		t := prefix(s) / rgw
 		if bandwidth > 0 && s > 0 {
 			t += (slope*float64(s) + c0) / bandwidth
 		}
 		return t
 	}
-	tc := func(s int64) float64 { return (prefix[n] - prefix[s]) / rcw }
+	tc := func(s int64) float64 { return (total - prefix(s)) / rcw }
 	return solveMinimax(n, tg, tc), nil
 }
 

@@ -407,11 +407,16 @@ func TestCoalescingSharesOneExecution(t *testing.T) {
 
 // TestBackpressure floods a tiny queue and expects 429 with a
 // Retry-After hint; the shed requests must not corrupt the ones that
-// were admitted.
+// were admitted. The single worker is held until the flood has been
+// answered, so at most two flights (one running, one queued) are
+// admitted and the rest are shed however fast the work is.
 func TestBackpressure(t *testing.T) {
 	reg := heteropart.NewMetrics()
-	_, ts := newTestService(t, Config{Workers: 1, Queue: 1, Metrics: reg})
+	svc, ts := newTestService(t, Config{Workers: 1, Queue: 1, Metrics: reg})
 	const clients = 12
+	release := make(chan struct{})
+	svc.panicHook = func() { <-release }
+	shedAll := make(chan struct{})
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var ok, shed int
@@ -437,17 +442,26 @@ func TestBackpressure(t *testing.T) {
 					t.Error("429 without Retry-After")
 				}
 				shed++
+				if shed == clients-2 {
+					close(shedAll)
+				}
 			default:
 				t.Errorf("client %d: unexpected status %d", c, resp.StatusCode)
 			}
 		}(c)
 	}
+	select {
+	case <-shedAll:
+	case <-time.After(10 * time.Second):
+		t.Error("flood was not shed while the worker was held")
+	}
+	close(release)
 	wg.Wait()
 	if ok == 0 {
 		t.Error("no request succeeded under backpressure")
 	}
-	if shed == 0 {
-		t.Skip("scheduler admitted everything; backpressure not exercised this run")
+	if shed < clients-2 {
+		t.Errorf("shed %d requests, want at least %d", shed, clients-2)
 	}
 	if got := counter(reg, "service_rejected_total"); got != float64(shed) {
 		t.Errorf("service_rejected_total = %v, want %d", got, shed)
