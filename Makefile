@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test perfbench-test bench bench-report vet fmt-check lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
+.PHONY: all build test perfbench-test bench bench-report profile-report vet fmt-check lint race race-observe check experiments report examples clean api service-load fuzz chaos platforms calibrate
 
 # Pinned staticcheck version; CI installs exactly this.
 STATICCHECK_VERSION = 2024.1.1
@@ -114,6 +114,17 @@ bench:
 # advisory, so the gate is portable).
 bench-report:
 	$(GO) run ./cmd/benchreport -smoke -out bench-out -baseline BENCH_2026-08-08.json
+
+# CPU profile of 40 cold report regenerations (BenchmarkMarkdownReport:
+# a fresh 2-worker runner per pass, each checked against
+# EXPERIMENTS.md), so the report's remaining cost can be profiled
+# without the benchmark module. Writes profile-out/report.cpu.pprof and
+# prints its top functions.
+profile-report:
+	@mkdir -p profile-out
+	$(GO) test -run '^$$' -bench BenchmarkMarkdownReport -benchtime 40x \
+		-o profile-out/exp.test -cpuprofile $(CURDIR)/profile-out/report.cpu.pprof ./internal/exp
+	$(GO) tool pprof -top -nodecount 25 profile-out/exp.test profile-out/report.cpu.pprof
 
 # Regenerate every paper table/figure with shape checks.
 experiments:

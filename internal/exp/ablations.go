@@ -22,7 +22,9 @@ func Ablations(env *Env) (*Table, error) {
 
 	// 1. DP-Dep's dependency-chain affinity (STREAM-Seq w/o sync:
 	// without affinity, chunks migrate between devices across kernels
-	// and pay extra transfers).
+	// and pay extra transfers). runDyn and runDynSeeded execute
+	// directly rather than through env.R: a runner.Spec names only
+	// registered strategies, not these custom scheduler variants.
 	runDyn := func(appName string, sync apps.SyncMode, s sched.Scheduler) (*rt.Result, error) {
 		app, err := apps.ByName(appName)
 		if err != nil {
@@ -32,26 +34,7 @@ func Ablations(env *Env) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var plan task.Plan
-		m := plat.CPUThreads()
-		for i, ph := range p.Phases {
-			n := ph.Kernel.Size
-			chunk := (n + int64(m) - 1) / int64(m)
-			ci := 0
-			for at := int64(0); at < n; at += chunk {
-				end := at + chunk
-				if end > n {
-					end = n
-				}
-				plan.Submit(ph.Kernel, at, end, task.Unpinned, ci)
-				ci++
-			}
-			if ph.SyncAfter && i < len(p.Phases)-1 {
-				plan.Barrier()
-			}
-		}
-		plan.Barrier()
-		return rt.Execute(rt.Config{Platform: plat, Scheduler: s}, &plan, p.Dir)
+		return rt.Execute(rt.Config{Platform: plat, Scheduler: s}, dynamicPlan(p, plat.CPUThreads()), p.Dir)
 	}
 
 	withAff, err := runDyn("STREAM-Seq", apps.SyncNone, sched.NewDep())
@@ -84,24 +67,17 @@ func Ablations(env *Env) (*Table, error) {
 		aware.GPURatio() < blindRes.GPURatio(),
 		fmt.Sprintf("%s vs %s GPU", pct(aware.GPURatio()), pct(blindRes.GPURatio())))
 
-	// 3. DP-Perf's excluded profiling phase (seeding).
-	app, _ := apps.ByName("MatrixMul")
-	pSeed, err := app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
+	// 3. DP-Perf's excluded profiling phase (seeding). The seeded run
+	// is Fig 5a's, so the shared runner serves it from its cache.
+	seeded, err := env.runOne("MatrixMul", apps.SyncDefault, "DP-Perf")
 	if err != nil {
 		return nil, err
 	}
-	seeded, err := (strategy.DPPerf{}).Run(pSeed, plat, strategy.Options{})
+	rawRes, err := env.R.Run(runner.Spec{App: "MatrixMul", Strategy: "DP-Perf", NoSeed: true, Plat: plat})
 	if err != nil {
 		return nil, err
 	}
-	pRaw, err := app.Build(apps.Variant{Spaces: 1 + len(plat.Accels)})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := (strategy.DPPerf{}).Run(pRaw, plat, strategy.Options{NoSeed: true})
-	if err != nil {
-		return nil, err
-	}
+	raw := rawRes.Outcome
 	t.AddRow("DP-Perf profiling phase", "excluded (seeded)", ms(seeded.Result.Makespan), pct(seeded.GPURatio()))
 	t.AddRow("DP-Perf profiling phase", "included (cold)", ms(raw.Result.Makespan), pct(raw.GPURatio()))
 	t.AddCheck("the profiling phase is expensive when included in the measurement",
@@ -111,7 +87,8 @@ func Ablations(env *Env) (*Table, error) {
 }
 
 // runDynSeeded executes an app with a trainer/measured scheduler pair
-// (both built fresh), mirroring DPPerf.Run for custom Perf variants.
+// (both built fresh), mirroring DPPerf.Run for custom Perf variants:
+// both runs execute one task plan.
 func runDynSeeded(plat *device.Platform, appName string,
 	newTrainer, newMeasured func() *sched.Perf) (*rt.Result, error) {
 	app, err := apps.ByName(appName)
@@ -122,36 +99,40 @@ func runDynSeeded(plat *device.Platform, appName string,
 	if err != nil {
 		return nil, err
 	}
-	m := plat.CPUThreads()
-	build := func() *task.Plan {
-		var plan task.Plan
-		for i, ph := range p.Phases {
-			n := ph.Kernel.Size
-			chunk := (n + int64(m) - 1) / int64(m)
-			ci := 0
-			for at := int64(0); at < n; at += chunk {
-				end := at + chunk
-				if end > n {
-					end = n
-				}
-				plan.Submit(ph.Kernel, at, end, task.Unpinned, ci)
-				ci++
-			}
-			if ph.SyncAfter && i < len(p.Phases)-1 {
-				plan.Barrier()
-			}
-		}
-		plan.Barrier()
-		return &plan
-	}
+	plan := dynamicPlan(p, plat.CPUThreads())
 	trainer := newTrainer()
-	if _, err := rt.Execute(rt.Config{Platform: plat, Scheduler: trainer}, build(), p.Dir); err != nil {
+	if _, err := rt.Execute(rt.Config{Platform: plat, Scheduler: trainer}, plan, p.Dir); err != nil {
 		return nil, err
 	}
 	p.Dir.Reset()
 	measured := newMeasured()
 	measured.Seed(trainer.Snapshot())
-	return rt.Execute(rt.Config{Platform: plat, Scheduler: measured}, build(), p.Dir)
+	return rt.Execute(rt.Config{Platform: plat, Scheduler: measured}, plan, p.Dir)
+}
+
+// dynamicPlan submits every phase of p as m unpinned chunks, the chunk
+// index as the dependency chain, with the problem's taskwaits and a
+// closing one.
+func dynamicPlan(p *apps.Problem, m int) *task.Plan {
+	var plan task.Plan
+	for i, ph := range p.Phases {
+		n := ph.Kernel.Size
+		chunk := (n + int64(m) - 1) / int64(m)
+		ci := 0
+		for at := int64(0); at < n; at += chunk {
+			end := at + chunk
+			if end > n {
+				end = n
+			}
+			plan.Submit(ph.Kernel, at, end, task.Unpinned, ci)
+			ci++
+		}
+		if ph.SyncAfter && i < len(p.Phases)-1 {
+			plan.Barrier()
+		}
+	}
+	plan.Barrier()
+	return &plan
 }
 
 // DAGRefine measures the Section-VII future-work idea on Cholesky:

@@ -160,24 +160,60 @@ data is available from any run via ` + "`hetsim -metrics`" + `).
 	return b.String(), nil
 }
 
+// planCacheSizes are the plan-cache demonstration's BlackScholes
+// sizes. The counters it prints do not depend on n, so the sizes stay
+// small; the largest passes one 15840-option input period, so the
+// compute-mode check still crosses the reference's wrap.
+var planCacheSizes = []int64{1 << 12, 1 << 13, 1 << 14}
+
 // planCacheSection demonstrates the decide/execute split's caching on
 // a small sweep: points that differ only in what they observe share
 // one decided plan. The counter table is deterministic (virtual-time
 // simulation, single-flight counters); the wall-clock sentence quotes
 // the repo benchmark and is indicative only.
 func planCacheSection(env *Env) (string, error) {
+	rs, reg, err := planCacheSweep(env, planCacheSizes)
+	if err != nil {
+		return "", err
+	}
+	return planCacheReport(rs, reg)
+}
+
+// planCacheSweep runs the demonstration's sweep — per size, a plain,
+// a traced and a compute-mode SP-Single point — through a private
+// runner whose registry it returns.
+func planCacheSweep(env *Env, sizes []int64) ([]*runner.Result, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()
 	r := runner.New(runner.Config{Workers: env.R.Workers(), Metrics: reg})
 	var specs []runner.Spec
-	for _, n := range []int64{1 << 16, 1 << 17, 1 << 18} {
+	for _, n := range sizes {
 		specs = append(specs,
 			runner.Spec{App: "BlackScholes", Strategy: "SP-Single", N: n, Plat: env.Plat},
 			runner.Spec{App: "BlackScholes", Strategy: "SP-Single", N: n, Plat: env.Plat, CollectTrace: true},
 			runner.Spec{App: "BlackScholes", Strategy: "SP-Single", N: n, Plat: env.Plat, Compute: true},
 		)
 	}
-	if _, err := r.RunAll(specs); err != nil {
-		return "", fmt.Errorf("exp: plan-cache section: %w", err)
+	rs, err := r.RunAll(specs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exp: plan-cache section: %w", err)
+	}
+	return rs, reg, nil
+}
+
+// planCacheReport verifies every compute-mode result of the sweep
+// against its sequential reference, failing on the first mismatch,
+// and renders the section from the sweep's counters.
+func planCacheReport(rs []*runner.Result, reg *metrics.Registry) (string, error) {
+	for _, res := range rs {
+		if !res.Spec.Compute {
+			continue
+		}
+		if res.Verify == nil {
+			return "", fmt.Errorf("exp: plan-cache section: %s n=%d: compute-mode result has no Verify", res.Spec, res.Spec.N)
+		}
+		if err := res.Verify(); err != nil {
+			return "", fmt.Errorf("exp: plan-cache section: %s n=%d: %w", res.Spec, res.Spec.N, err)
+		}
 	}
 	snap := reg.Snapshot(0)
 	get := func(series string) float64 {
@@ -197,7 +233,7 @@ observation variants per size:
 |---|---|---|---|
 `)
 	fmt.Fprintf(&b, "| %d | %.0f | %.0f | %.0f |\n",
-		len(specs), get("runner_runs_total"),
+		len(rs), get("runner_runs_total"),
 		get("plan_cache_misses_total"), get("plan_cache_hits_total"))
 	b.WriteString(`
 Wall-clock effect on this sweep shape (` + "`go test -bench BenchmarkSizeSweep ./internal/runner/`" + `,

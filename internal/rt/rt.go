@@ -212,6 +212,8 @@ func (e *engine) LinkOf(dev int) device.Link { return e.cfg.Platform.LinkOf(dev)
 // Execute runs the plan to completion and returns the result. The
 // directory must hold every buffer the plan's accesses reference; it is
 // left in its final state (host whole if the plan ends with a barrier).
+// The plan's dependence graph is built only when stale (see
+// task.EnsureDeps), so re-executing an unchanged plan reuses it.
 func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("rt: nil platform")
@@ -232,7 +234,7 @@ func Execute(cfg Config, plan *task.Plan, dir *mem.Directory) (*Result, error) {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 
-	task.BuildDeps(plan)
+	task.EnsureDeps(plan)
 
 	e := &engine{
 		cfg:         cfg,

@@ -226,10 +226,11 @@ func ByName(name string) (Strategy, error) {
 
 // Execute carries out a decided plan on the platform: it validates the
 // plan (including the platform fingerprint), materializes the task
-// instances, builds the named scheduler — running the training pass
-// first for seeded perf plans — and measures the execution. Replaying
-// a plan reproduces the run that decided it exactly: the simulator is
-// deterministic and the plan pins the whole decision surface.
+// instances once, builds the named scheduler — running the training
+// pass on the same instances first for seeded perf plans — and
+// measures the execution. Replaying a plan reproduces the run that
+// decided it exactly: the simulator is deterministic and the plan pins
+// the whole decision surface.
 func Execute(pl *plan.ExecutionPlan, p *apps.Problem, plat *device.Platform, opts Options) (*Outcome, error) {
 	return ExecuteContext(context.Background(), pl, p, plat, opts)
 }
@@ -269,20 +270,17 @@ func ExecuteContext(ctx context.Context, pl *plan.ExecutionPlan, p *apps.Problem
 		perf := sched.NewPerf()
 		if pl.Scheduler.Seeded {
 			// The excluded profiling phase (Section IV-A3): a training
-			// execution on a fresh materialization learns the rates,
-			// the directory is reset, and the measured run starts from
-			// the trained profile.
+			// execution learns the rates, the directory is reset, and
+			// the measured run starts from the trained profile. Both
+			// runs execute the one materialization, so its dependence
+			// graph is built once; execution leaves instances as it
+			// found them.
 			trainer := sched.NewPerf()
 			trainSpan := opts.Spans.Begin(execSpan, telemetry.KindTrain, "perf-training")
-			trainPlan, err := pl.Materialize(p)
-			if err != nil {
-				opts.Spans.End(trainSpan)
-				return nil, err
-			}
 			if _, err := rt.Execute(rt.Config{
 				Platform: plat, Scheduler: trainer, Ctx: opts.ctx,
 				Faults: fault.NewInjector(opts.Faults, fault.ScopeExecute),
-			}, trainPlan, p.Dir); err != nil {
+			}, tp, p.Dir); err != nil {
 				opts.Spans.End(trainSpan)
 				return nil, err
 			}

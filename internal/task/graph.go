@@ -69,6 +69,17 @@ func BuildDeps(p *Plan) {
 		}
 		k++
 	}
+	p.depsBuilt = true
+}
+
+// EnsureDeps builds the plan's dependence graph unless it is current:
+// a plan executed again without a Submit or Barrier in between (a
+// seeded DP-Perf run's training and measured executions) keeps the
+// edges of its first build.
+func EnsureDeps(p *Plan) {
+	if !p.depsBuilt {
+		BuildDeps(p)
+	}
 }
 
 // segment is a region of one buffer that every access recorded since

@@ -203,10 +203,17 @@ type Op struct {
 // plan. This keeps the strategy builders' submit loops fluent.
 type Plan struct {
 	Name string
-	Ops  []Op
+	// Ops only grows, and only through Submit and Barrier: both mark
+	// the dependence graph stale, so EnsureDeps rebuilds it before the
+	// next execution. Code that edits Ops any other way must call
+	// BuildDeps itself.
+	Ops []Op
 
 	nextID int
 	err    error
+	// depsBuilt is the dependence graph's stamp: set by BuildDeps,
+	// cleared by Submit and Barrier.
+	depsBuilt bool
 }
 
 // Err reports the first submission fault, or nil.
@@ -235,12 +242,14 @@ func (p *Plan) Submit(k *Kernel, lo, hi int64, pin, chain int) *Instance {
 	}
 	p.nextID++
 	p.Ops = append(p.Ops, Op{Kind: OpSubmit, Inst: in})
+	p.depsBuilt = false
 	return in
 }
 
 // Barrier appends a taskwait.
 func (p *Plan) Barrier() {
 	p.Ops = append(p.Ops, Op{Kind: OpBarrier})
+	p.depsBuilt = false
 }
 
 // Instances returns all submitted instances in submission order.

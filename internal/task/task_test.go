@@ -193,6 +193,56 @@ func TestBuildDepsIdempotent(t *testing.T) {
 	}
 }
 
+// TestEnsureDepsStamp: EnsureDeps reuses a built graph until Submit or
+// Barrier marks it stale. The edges are edited by hand between calls
+// so that a rebuild (which restores them) is visible even where the
+// new op adds no edge.
+func TestEnsureDepsStamp(t *testing.T) {
+	d := mem.NewDirectory(1)
+	b := d.Register("x", 100, 4)
+	w := testKernel("writer", 100, b, Write)
+	r := testKernel("reader", 100, b, Read)
+	var p Plan
+	i1 := p.Submit(w, 0, 100, Unpinned, -1)
+	i2 := p.Submit(r, 0, 50, Unpinned, -1)
+	EnsureDeps(&p)
+	if len(i2.Deps) != 1 || i2.Deps[0] != i1 {
+		t.Fatalf("first build: i2 deps = %v", i2.Deps)
+	}
+
+	i2.Deps = nil
+	EnsureDeps(&p)
+	if len(i2.Deps) != 0 {
+		t.Fatalf("unchanged plan was rebuilt: i2 deps = %v", i2.Deps)
+	}
+
+	i3 := p.Submit(r, 50, 100, Unpinned, -1)
+	EnsureDeps(&p)
+	if len(i3.Deps) != 1 || i3.Deps[0] != i1 {
+		t.Fatalf("Submit after a build did not force a rebuild: i3 deps = %v", i3.Deps)
+	}
+	if len(i2.Deps) != 1 || len(i1.Succs) != 2 {
+		t.Fatalf("rebuild left stale edges: i2 deps = %v, i1 succs = %v", i2.Deps, i1.Succs)
+	}
+
+	i2.Deps = nil
+	p.Barrier()
+	EnsureDeps(&p)
+	if len(i2.Deps) != 1 || i2.Deps[0] != i1 {
+		t.Fatalf("Barrier after a build did not force a rebuild: i2 deps = %v", i2.Deps)
+	}
+
+	var q Plan
+	q.Submit(w, 0, 100, Unpinned, -1)
+	j2 := q.Submit(r, 0, 100, Unpinned, -1)
+	BuildDeps(&q)
+	j2.Deps = nil
+	EnsureDeps(&q)
+	if len(j2.Deps) != 0 {
+		t.Fatalf("BuildDeps did not stamp the plan: EnsureDeps rebuilt it")
+	}
+}
+
 func TestBuildDepsMultiBuffer(t *testing.T) {
 	d := mem.NewDirectory(1)
 	a := d.Register("a", 100, 8)
